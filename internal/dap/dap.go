@@ -350,14 +350,15 @@ func (b *vmBinder) resolve(name string) (*loadedClass, bool) {
 	return b.cache.get(name, b.refs[strings.ToLower(name)])
 }
 
-// runCounts sums interpreter dispatch counters across every machine the
-// binder created (the shared scalar machine plus one per aggregate).
-func (b *vmBinder) runCounts() (fast, checked int64) {
+// runCounts sums engine dispatch counters across every machine the
+// binder created (the shared scalar machine plus one per aggregate):
+// compiled runs feed vm_fastpath_runs, checked runs vm_checked_runs.
+func (b *vmBinder) runCounts() (compiled, checked int64) {
 	for _, m := range b.machines {
-		fast += m.FastRuns
+		compiled += m.CompiledRuns
 		checked += m.CheckedRuns
 	}
-	return fast, checked
+	return compiled, checked
 }
 
 // BindScalar implements core.OpBinder.

@@ -29,7 +29,8 @@ const (
 	MDapCacheInvalidateRequests = "dap_cache_invalidate_requests"
 	MDapCacheInvalidateDropped  = "dap_cache_invalidate_dropped"
 
-	// MVM interpreter dispatch, counted by the DAP executor.
+	// MVM engine dispatch, counted by the DAP executor: runs of compiled
+	// code (the name predates the compiler) and of the checked interpreter.
 	MVMFastpathRuns = "vm_fastpath_runs"
 	MVMCheckedRuns  = "vm_checked_runs"
 

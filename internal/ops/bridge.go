@@ -85,6 +85,10 @@ type Scalar struct {
 	machine *vm.Machine
 	prog    *vm.Program
 	evalIdx int
+	// vargs and globals are reused by every Call; a Scalar, like its
+	// Machine, serves one goroutine.
+	vargs   []vm.Value
+	globals []vm.Value
 }
 
 // NewNativeScalar binds a definition's native implementation.
@@ -103,7 +107,11 @@ func NewVMScalar(m *vm.Machine, p *vm.Program, ret types.Kind) (*Scalar, error) 
 	if idx < 0 {
 		return nil, fmt.Errorf("ops: program %s has no eval function", p.Name)
 	}
-	return &Scalar{name: p.Name, ret: ret, machine: m, prog: p, evalIdx: idx}, nil
+	s := &Scalar{name: p.Name, ret: ret, machine: m, prog: p, evalIdx: idx}
+	if p.NGlobals > 0 {
+		s.globals = make([]vm.Value, p.NGlobals)
+	}
+	return s, nil
 }
 
 // Name returns the operator name.
@@ -114,15 +122,10 @@ func (s *Scalar) Call(args []types.Object) (types.Object, error) {
 	if s.native != nil {
 		return s.native(args)
 	}
-	vargs := make([]vm.Value, len(args))
-	for i, a := range args {
-		vargs[i] = ToVM(a)
-	}
-	var globals []vm.Value
-	if s.prog.NGlobals > 0 {
-		globals = make([]vm.Value, s.prog.NGlobals)
-	}
-	v, err := s.machine.Run(s.prog, s.evalIdx, globals, vargs)
+	s.vargs = toVMArgs(s.vargs, args)
+	clear(s.globals) // a scalar call starts from fresh globals
+	v, err := s.machine.Run(s.prog, s.evalIdx, s.globals, s.vargs)
+	clear(s.vargs) // drop references to the row's payloads
 	if err != nil {
 		return nil, fmt.Errorf("ops: %s: %w", s.name, err)
 	}
@@ -139,6 +142,7 @@ type Aggregate struct {
 	machine                           *vm.Machine
 	prog                              *vm.Program
 	globals                           []vm.Value
+	vargs                             []vm.Value // reused by every Update
 	resetIdx, updateIdx, summarizeIdx int
 }
 
@@ -184,12 +188,19 @@ func (a *Aggregate) Update(args []types.Object) error {
 	if a.native != nil {
 		return a.native.Update(args)
 	}
-	vargs := make([]vm.Value, len(args))
-	for i, x := range args {
-		vargs[i] = ToVM(x)
-	}
-	_, err := a.machine.Run(a.prog, a.updateIdx, a.globals, vargs)
+	a.vargs = toVMArgs(a.vargs, args)
+	_, err := a.machine.Run(a.prog, a.updateIdx, a.globals, a.vargs)
+	clear(a.vargs)
 	return err
+}
+
+// toVMArgs converts a tuple's argument values into buf, reusing it.
+func toVMArgs(buf []vm.Value, args []types.Object) []vm.Value {
+	buf = buf[:0]
+	for _, a := range args {
+		buf = append(buf, ToVM(a))
+	}
+	return buf
 }
 
 // Summarize produces the aggregate value.

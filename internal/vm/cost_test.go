@@ -15,25 +15,15 @@ func analyzeSrc(t *testing.T, src string) (*Program, *VerifyInfo) {
 	return p, info
 }
 
-// runBoth executes the program's entry function on both interpreter
-// loops and asserts the instruction counters agree; it returns the
+// runBoth executes the program's entry function on both engines,
+// asserting they agree on every observable; it returns the instruction
 // counter.
 func runBoth(t *testing.T, p *Program, args []Value) int64 {
 	t.Helper()
 	if err := Verify(p); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	mc := New(DefaultLimits)
-	_, errC := mc.runChecked(p, &p.Funcs[0], make([]Value, p.NGlobals), args)
-	mf := New(DefaultLimits)
-	_, errF := mf.runFast(p, 0, make([]Value, p.NGlobals), args, p.verified)
-	if (errC == nil) != (errF == nil) {
-		t.Fatalf("path divergence: checked %v, fast %v", errC, errF)
-	}
-	if mc.LastRunInstrs != mf.LastRunInstrs {
-		t.Fatalf("instruction counter divergence: checked %d, fast %d", mc.LastRunInstrs, mf.LastRunInstrs)
-	}
-	return mc.LastRunInstrs
+	return diffEngines(t, p, 0, DefaultLimits, make([]Value, p.NGlobals), args).instrs
 }
 
 func TestCostStraightLineExact(t *testing.T) {
@@ -242,22 +232,15 @@ func TestCostTrapPathsSetCounter(t *testing.T) {
 	if err := Verify(p); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	mc := New(DefaultLimits)
-	if _, err := mc.runChecked(p, &p.Funcs[0], nil, nil); err == nil {
+	c := diffEngines(t, p, 0, DefaultLimits, nil, nil)
+	if c.err == nil {
 		t.Fatal("want math trap")
 	}
-	if mc.LastRunInstrs != 3 {
-		t.Fatalf("trap-path counter = %d, want 3", mc.LastRunInstrs)
+	if c.instrs != 3 {
+		t.Fatalf("trap-path counter = %d, want 3", c.instrs)
 	}
-	mf := New(DefaultLimits)
-	if _, err := mf.runFast(p, 0, nil, nil, p.verified); err == nil {
-		t.Fatal("want math trap")
-	}
-	if mf.LastRunInstrs != 3 {
-		t.Fatalf("fast trap-path counter = %d, want 3", mf.LastRunInstrs)
-	}
-	if mc.LastRunInstrs > info.Cost.BudgetInstrs {
-		t.Fatalf("trap path exceeded budget: %d > %d", mc.LastRunInstrs, info.Cost.BudgetInstrs)
+	if c.instrs > info.Cost.BudgetInstrs {
+		t.Fatalf("trap path exceeded budget: %d > %d", c.instrs, info.Cost.BudgetInstrs)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // pass accepts a program, execution can never underflow the operand
 // stack, fall through past the end of a function, call with too few
 // arguments, overrun the machine's stack or call-depth limits, or
-// recurse — so the interpreter may drop those dynamic checks entirely
-// (see machine_fast.go).
+// recurse — so verified code may run compiled, without those dynamic
+// checks (see compile.go).
 //
 // The abstract domain tracks, at every instruction boundary, the exact
 // operand-stack depth plus an abstract kind per slot:
@@ -83,9 +83,9 @@ func joinKind(a, b absKind) absKind {
 func (k absKind) matches(want absKind) bool { return k == want || k == akAny }
 
 // VerifyInfo is the result of a successful dataflow verification: the
-// program's capability manifest and its static resource bounds. A
-// program carrying a VerifyInfo whose bounds fit the machine's limits
-// runs on the unchecked fast path.
+// program's capability manifest, its static resource bounds and its
+// compiled code. A program carrying a VerifyInfo whose bounds fit the
+// machine's limits runs compiled.
 type VerifyInfo struct {
 	// Capabilities is the sorted set of host intrinsics the program can
 	// invoke — the manifest a site audits before accepting shipped code.
@@ -102,19 +102,10 @@ type VerifyInfo struct {
 	// Funcs holds per-function verification detail, in program order.
 	Funcs []FuncInfo
 
-	// fastCode is the pre-decoded instruction stream per function, with
-	// operands decoded and jump targets rewritten to instruction
-	// indexes. Verification makes this safe to build once: the code can
-	// no longer change meaning at runtime. runFast interprets this
-	// stream instead of raw bytecode.
-	fastCode [][]finstr
-}
-
-// finstr is one pre-decoded instruction of the fast-path stream.
-type finstr struct {
-	op      Op
-	operand int32 // decoded operand; for jumps, an instruction index
-	off     int32 // original byte offset, for trap reporting
+	// code is the program compiled to Go closures (compile.go), one
+	// function per program function. Verification makes it safe to build
+	// once: the code can no longer change meaning at runtime.
+	code []*cfunc
 }
 
 // FuncInfo is the per-function slice of a VerifyInfo.
@@ -166,6 +157,9 @@ type funcResult struct {
 	retKind   absKind
 	retSeen   bool
 	callSites []callSite
+	// states is the abstract state at every instruction boundary, which
+	// the compiler turns into frame registers.
+	states []*absState
 }
 
 type callSite struct {
@@ -276,19 +270,7 @@ func Analyze(p *Program) (*VerifyInfo, error) {
 	}
 	sort.Strings(info.Capabilities)
 
-	info.fastCode = make([][]finstr, len(p.Funcs))
-	for i, ins := range instrs {
-		fc := make([]finstr, len(ins))
-		for j, in := range ins {
-			opnd := in.operand
-			switch in.op {
-			case OpJmp, OpJz, OpJnz:
-				opnd = index[i][in.operand]
-			}
-			fc[j] = finstr{op: in.op, operand: int32(opnd), off: int32(in.off)}
-		}
-		info.fastCode[i] = fc
-	}
+	info.code = compileProgram(p, instrs, index, results)
 	return info, nil
 }
 
@@ -754,6 +736,7 @@ func analyzeFunc(p *Program, f *Func, ins []instr, idx map[int]int, results []*f
 			return nil, fmt.Errorf("unreachable code at offset %d", ins[i].off)
 		}
 	}
+	fr.states = states
 	return fr, nil
 }
 

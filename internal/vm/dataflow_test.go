@@ -282,8 +282,8 @@ func TestVerifiedStampClearedByDecode(t *testing.T) {
 	if v, err := m.Run(q, 0, nil, nil); err != nil || v.I != 7 {
 		t.Fatalf("unverified run: %v %v", v, err)
 	}
-	if m.CheckedRuns != 1 || m.FastRuns != 0 {
-		t.Errorf("unverified program must run checked: fast=%d checked=%d", m.FastRuns, m.CheckedRuns)
+	if m.CheckedRuns != 1 || m.CompiledRuns != 0 {
+		t.Errorf("unverified program must run checked: compiled=%d checked=%d", m.CompiledRuns, m.CheckedRuns)
 	}
 	if err := Verify(q); err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestVerifiedStampClearedByDecode(t *testing.T) {
 	if v, err := m.Run(q, 0, nil, nil); err != nil || v.I != 7 {
 		t.Fatalf("verified run: %v %v", v, err)
 	}
-	if m.FastRuns != 1 {
-		t.Errorf("verified program should run fast: fast=%d", m.FastRuns)
+	if m.CompiledRuns != 1 {
+		t.Errorf("verified program should run compiled: compiled=%d", m.CompiledRuns)
 	}
 }

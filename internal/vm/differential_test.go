@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestDifferentialTrapParity drives the same verified program down both
-// interpreter loops and asserts byte-identical outcomes — value on
+// TestDifferentialTrapParity drives the same verified program through
+// both engines and asserts byte-identical outcomes — value on
 // success, trap kind, message and PC on failure. This is the
 // deterministic core of what FuzzVerifySound explores randomly, pinned
 // on the trap arms the fuzzer reaches only probabilistically.
@@ -280,10 +280,10 @@ end`, []Value{BytesVal([]byte{10, 20, 30, 40})}, TrapGeneric, ""},
 			limits := DefaultLimits
 			limits.MaxFuel = 10000
 
-			fast := New(limits)
-			vF, errF := fast.Run(p, 0, nil, c.args)
-			if fast.FastRuns != 1 {
-				t.Fatal("verified program did not take the fast path")
+			compiled := New(limits)
+			vF, errF := compiled.Run(p, 0, nil, c.args)
+			if compiled.CompiledRuns != 1 {
+				t.Fatal("verified program did not run compiled")
 			}
 
 			unverified := *p
@@ -296,14 +296,14 @@ end`, []Value{BytesVal([]byte{10, 20, 30, 40})}, TrapGeneric, ""},
 
 			if c.frag == "" {
 				if errF != nil || errC != nil {
-					t.Fatalf("want success, got fast=%v checked=%v", errF, errC)
+					t.Fatalf("want success, got compiled=%v checked=%v", errF, errC)
 				}
 				if !sameValue(vF, vC) {
-					t.Fatalf("value divergence: fast %+v, checked %+v", vF, vC)
+					t.Fatalf("value divergence: compiled %+v, checked %+v", vF, vC)
 				}
 				return
 			}
-			for path, err := range map[string]error{"fast": errF, "checked": errC} {
+			for path, err := range map[string]error{"compiled": errF, "checked": errC} {
 				tr, ok := err.(*Trap)
 				if !ok {
 					t.Fatalf("%s path: want trap, got %v", path, err)
@@ -319,7 +319,7 @@ end`, []Value{BytesVal([]byte{10, 20, 30, 40})}, TrapGeneric, ""},
 				}
 			}
 			if errF.Error() != errC.Error() {
-				t.Errorf("trap text divergence:\n  fast:    %v\n  checked: %v", errF, errC)
+				t.Errorf("trap text divergence:\n  compiled: %v\n  checked:  %v", errF, errC)
 			}
 		})
 	}
@@ -333,7 +333,7 @@ func mutableBytes(n int) Value {
 	return v
 }
 
-// TestComparePolymorphism pins the comparison matrix both loops share.
+// TestComparePolymorphism pins the comparison matrix both engines share.
 func TestComparePolymorphism(t *testing.T) {
 	cases := []struct {
 		src  string

@@ -12,8 +12,8 @@ import (
 // costSoundCheck is the bound-soundness oracle shared by FuzzCostSound
 // and the committed-corpus sweep: any program the verifier accepts must
 // never execute more instructions in one invocation than its static
-// per-invocation budget claims, and the checked and fast loops must
-// count identically.
+// per-invocation budget claims, and the checked interpreter and the
+// compiled code must agree on every observable (diffEnginesFuel).
 func costSoundCheck(t *testing.T, code []byte, nargs, nglobals uint8) {
 	t.Helper()
 	p := fuzzProgram(code, nargs, nglobals)
@@ -25,20 +25,11 @@ func costSoundCheck(t *testing.T, code []byte, nargs, nglobals uint8) {
 
 	limits := DefaultLimits
 	limits.MaxFuel = 50000
-	entry := &p.Funcs[0]
-	args := fuzzArgs(entry.NArgs)
-
-	mc := New(limits)
-	_, _ = mc.runChecked(p, entry, make([]Value, p.NGlobals), args)
-	if mc.LastRunInstrs > budget {
+	args := fuzzArgs(p.Funcs[0].NArgs)
+	c := diffEnginesFuel(t, p, 0, limits, make([]Value, p.NGlobals), args)
+	if c.instrs > budget {
 		t.Fatalf("bound unsound: executed %d instructions, static budget %d (bounded=%v)\ncode: %q",
-			mc.LastRunInstrs, budget, info.Funcs[0].Bounded, code)
-	}
-	mf := New(limits)
-	_, _ = mf.runFast(p, 0, make([]Value, p.NGlobals), args, info)
-	if mf.LastRunInstrs != mc.LastRunInstrs {
-		t.Fatalf("instruction counter divergence: checked %d, fast %d\ncode: %q",
-			mc.LastRunInstrs, mf.LastRunInstrs, code)
+			c.instrs, budget, info.Funcs[0].Bounded, code)
 	}
 }
 
@@ -65,13 +56,17 @@ var costSeedSrcs = []string{
 
 // FuzzCostSound fuzzes the bound-soundness oracle: static per-invocation
 // instruction budget >= the checked interpreter's executed count, with
-// the fast path counting identically.
+// the compiled code agreeing on every observable.
 func FuzzCostSound(f *testing.F) {
 	for _, src := range costSeedSrcs {
 		p := MustAssemble(src)
 		f.Add(p.Funcs[0].Code, uint8(p.Funcs[0].NArgs), uint8(p.NGlobals))
 	}
 	f.Add([]byte{byte(OpRet)}, uint8(0), uint8(0))
+	for _, src := range blockSeedSrcs {
+		p := MustAssemble(src)
+		f.Add(p.Funcs[0].Code, uint8(p.Funcs[0].NArgs), uint8(p.NGlobals))
+	}
 	f.Fuzz(costSoundCheck)
 }
 
@@ -154,23 +149,25 @@ func TestCostSoundCorpus(t *testing.T) {
 //
 //	MOCHA_WRITE_FUZZ_CORPUS=1 go test ./internal/vm -run TestWriteFuzzCorpusSeeds
 //
-// after changing costSeedSrcs, and commit the result.
+// after changing costSeedSrcs or blockSeedSrcs, and commit the result.
 func TestWriteFuzzCorpusSeeds(t *testing.T) {
 	if os.Getenv("MOCHA_WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set MOCHA_WRITE_FUZZ_CORPUS=1 to regenerate corpus seeds")
 	}
-	for i, src := range costSeedSrcs {
-		p := MustAssemble(src)
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\nbyte(%q)\n",
-			p.Funcs[0].Code, rune(p.Funcs[0].NArgs), rune(p.NGlobals))
-		for _, dir := range []string{"FuzzVerifySound", "FuzzCostSound"} {
-			full := filepath.Join("testdata", "fuzz", dir)
-			if err := os.MkdirAll(full, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("seed-loop-%02d", i)
-			if err := os.WriteFile(filepath.Join(full, name), []byte(body), 0o644); err != nil {
-				t.Fatal(err)
+	for prefix, srcs := range map[string][]string{"seed-loop": costSeedSrcs, "seed-block": blockSeedSrcs} {
+		for i, src := range srcs {
+			p := MustAssemble(src)
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\nbyte(%q)\n",
+				p.Funcs[0].Code, rune(p.Funcs[0].NArgs), rune(p.NGlobals))
+			for _, dir := range []string{"FuzzVerifySound", "FuzzCostSound"} {
+				full := filepath.Join("testdata", "fuzz", dir)
+				if err := os.MkdirAll(full, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s-%02d", prefix, i)
+				if err := os.WriteFile(filepath.Join(full, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}

@@ -93,18 +93,29 @@ type Machine struct {
 	limits Limits
 	stack  []Value
 	// FuelUsed accumulates instructions executed across invocations, for
-	// CPU-cost reporting.
+	// CPU-cost reporting. Every invocation adds its LastRunInstrs, on
+	// normal return and trap alike.
 	FuelUsed int64
 	// LastRunInstrs is the number of instructions the most recent
-	// invocation executed, counted identically on the checked and fast
-	// paths and set on every exit — normal return and trap alike. The
-	// bound-soundness fuzz oracle (FuzzCostSound) compares it against
-	// the verifier's static per-invocation budget.
+	// invocation executed, counted identically by both engines and set
+	// on every exit — normal return and trap alike. The bound-soundness
+	// fuzz oracle (FuzzCostSound) compares it against the verifier's
+	// static per-invocation budget.
 	LastRunInstrs int64
-	// FastRuns and CheckedRuns count invocations dispatched to the
-	// verified fast path vs the fully-checked interpreter.
-	FastRuns    int64
-	CheckedRuns int64
+	// CompiledRuns and CheckedRuns count invocations dispatched to the
+	// compiled code of a verified program vs the fully-checked
+	// interpreter.
+	CompiledRuns int64
+	CheckedRuns  int64
+
+	// Per-invocation state shared by both engines.
+	fuel      int64 // instructions left in this invocation (compiled engine)
+	allocUsed int64 // bytes allocated by bnew in this invocation
+
+	// frames is the compiled engine's activation pool, one frame per
+	// call depth, reused across invocations; depth is the next free one.
+	frames []*cframe
+	depth  int
 }
 
 // New returns a machine with the given limits. Zero-valued limit fields
@@ -138,9 +149,10 @@ type frame struct {
 // stateless scalar functions. It returns the function's result value.
 //
 // A program the dataflow verifier has accepted (see Analyze) whose
-// static stack and call-depth bounds fit this machine's limits runs on
-// the fast path, which drops the per-instruction dynamic stack checks
-// the verifier made redundant; anything else runs fully checked.
+// static stack and call-depth bounds fit this machine's limits runs as
+// the Go closures Verify compiled it to (compile.go); anything else runs
+// on the fully-checked interpreter. The two engines are observably
+// identical.
 func (m *Machine) Run(p *Program, fnIdx int, globals []Value, args []Value) (Value, error) {
 	if fnIdx < 0 || fnIdx >= len(p.Funcs) {
 		return Value{}, fmt.Errorf("vm: function index %d out of range", fnIdx)
@@ -154,28 +166,36 @@ func (m *Machine) Run(p *Program, fnIdx int, globals []Value, args []Value) (Val
 	}
 	if info := p.verified; info != nil &&
 		info.MaxStack <= m.limits.MaxStack && info.CallDepth <= m.limits.MaxCallDepth {
-		m.FastRuns++
-		return m.runFast(p, fnIdx, globals, args, info)
+		m.CompiledRuns++
+		return m.runCompiled(info, fnIdx, globals, args)
 	}
 	m.CheckedRuns++
 	return m.runChecked(p, entry, globals, args)
 }
 
+// finish records an invocation's instruction count.
+func (m *Machine) finish(instrs int64) {
+	m.LastRunInstrs = instrs
+	m.FuelUsed += instrs
+}
+
 // runChecked is the fully-checked interpreter loop: every instruction
-// validates operand-stack depth and value kinds before acting. It is the
-// reference semantics the fast path must match (pinned by the
-// differential fuzz target FuzzVerifySound).
+// validates operand-stack depth before acting, and valueOp validates
+// value kinds. It is the reference semantics the compiled engine must
+// match (pinned by the differential fuzz targets FuzzVerifySound and
+// FuzzCostSound).
 func (m *Machine) runChecked(p *Program, entry *Func, globals []Value, args []Value) (Value, error) {
 	fuel := m.limits.MaxFuel
-	var allocUsed int64
+	m.allocUsed = 0
 	m.stack = m.stack[:0]
 	frames := make([]frame, 1, 8)
 	frames[0] = frame{fn: entry, locals: make([]Value, entry.NLocals), args: args}
 
 	trap := func(kind TrapKind, msg string) (Value, error) {
-		if m.LastRunInstrs = m.limits.MaxFuel - fuel; fuel < 0 {
-			m.LastRunInstrs = m.limits.MaxFuel
+		if fuel < 0 {
+			fuel = 0
 		}
+		m.finish(m.limits.MaxFuel - fuel)
 		f := &frames[len(frames)-1]
 		return Value{}, &Trap{Func: f.fn.Name, PC: f.pc, Kind: kind, Msg: msg}
 	}
@@ -195,7 +215,6 @@ func (m *Machine) runChecked(p *Program, entry *Func, globals []Value, args []Va
 			return trap(TrapStack, "fell off end of code")
 		}
 		if fuel--; fuel < 0 {
-			m.FuelUsed += m.limits.MaxFuel
 			return trap(TrapResource, "fuel exhausted")
 		}
 		op := Op(code[f.pc])
@@ -218,8 +237,7 @@ func (m *Machine) runChecked(p *Program, entry *Func, globals []Value, args []Va
 			m.stack = m.stack[:f.base]
 			frames = frames[:len(frames)-1]
 			if len(frames) == 0 {
-				m.LastRunInstrs = m.limits.MaxFuel - fuel
-				m.FuelUsed += m.LastRunInstrs
+				m.finish(m.limits.MaxFuel - fuel)
 				return ret, nil
 			}
 			if !push(ret) {
@@ -286,132 +304,6 @@ func (m *Machine) runChecked(p *Program, entry *Func, globals []Value, args []Va
 			globals[operand] = m.stack[sp-1]
 			m.stack = m.stack[:sp-1]
 
-		case OpAddI, OpSubI, OpMulI, OpDivI, OpModI:
-			if sp < 2 {
-				return trap(TrapStack, "integer op needs two values")
-			}
-			a, b := m.stack[sp-2], m.stack[sp-1]
-			if a.K != VInt || b.K != VInt {
-				return trap(TrapType, fmt.Sprintf("%v needs ints, got %v and %v", op, a.K, b.K))
-			}
-			var r int64
-			switch op {
-			case OpAddI:
-				r = a.I + b.I
-			case OpSubI:
-				r = a.I - b.I
-			case OpMulI:
-				r = a.I * b.I
-			case OpDivI:
-				if b.I == 0 {
-					return trap(TrapMath, "integer divide by zero")
-				}
-				r = a.I / b.I
-			case OpModI:
-				if b.I == 0 {
-					return trap(TrapMath, "integer modulo by zero")
-				}
-				r = a.I % b.I
-			}
-			m.stack = m.stack[:sp-1]
-			m.stack[sp-2] = IntVal(r)
-
-		case OpNegI:
-			if sp < 1 {
-				return trap(TrapStack, "negi on empty stack")
-			}
-			if m.stack[sp-1].K != VInt {
-				return trap(TrapType, "negi needs an int")
-			}
-			m.stack[sp-1].I = -m.stack[sp-1].I
-
-		case OpAddF, OpSubF, OpMulF, OpDivF:
-			if sp < 2 {
-				return trap(TrapStack, "float op needs two values")
-			}
-			a, b := m.stack[sp-2], m.stack[sp-1]
-			if a.K != VFloat || b.K != VFloat {
-				return trap(TrapType, fmt.Sprintf("%v needs floats, got %v and %v", op, a.K, b.K))
-			}
-			var r float64
-			switch op {
-			case OpAddF:
-				r = a.F + b.F
-			case OpSubF:
-				r = a.F - b.F
-			case OpMulF:
-				r = a.F * b.F
-			case OpDivF:
-				r = a.F / b.F
-			}
-			m.stack = m.stack[:sp-1]
-			m.stack[sp-2] = FloatVal(r)
-
-		case OpNegF:
-			if sp < 1 {
-				return trap(TrapStack, "negf on empty stack")
-			}
-			if m.stack[sp-1].K != VFloat {
-				return trap(TrapType, "negf needs a float")
-			}
-			m.stack[sp-1].F = -m.stack[sp-1].F
-
-		case OpI2F:
-			if sp < 1 {
-				return trap(TrapStack, "i2f on empty stack")
-			}
-			if m.stack[sp-1].K != VInt {
-				return trap(TrapType, "i2f needs an int")
-			}
-			m.stack[sp-1] = FloatVal(float64(m.stack[sp-1].I))
-
-		case OpF2I:
-			if sp < 1 {
-				return trap(TrapStack, "f2i on empty stack")
-			}
-			if m.stack[sp-1].K != VFloat {
-				return trap(TrapType, "f2i needs a float")
-			}
-			m.stack[sp-1] = IntVal(int64(m.stack[sp-1].F))
-
-		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-			if sp < 2 {
-				return trap(TrapStack, "comparison needs two values")
-			}
-			a, b := m.stack[sp-2], m.stack[sp-1]
-			res, err := compare(op, a, b)
-			if err != nil {
-				return trap(TrapType, err.Error())
-			}
-			m.stack = m.stack[:sp-1]
-			m.stack[sp-2] = BoolVal(res)
-
-		case OpAnd, OpOr:
-			if sp < 2 {
-				return trap(TrapStack, "logic op needs two values")
-			}
-			a, b := m.stack[sp-2], m.stack[sp-1]
-			if a.K != VBool || b.K != VBool {
-				return trap(TrapType, "logic op needs bools")
-			}
-			var r bool
-			if op == OpAnd {
-				r = a.Bool() && b.Bool()
-			} else {
-				r = a.Bool() || b.Bool()
-			}
-			m.stack = m.stack[:sp-1]
-			m.stack[sp-2] = BoolVal(r)
-
-		case OpNot:
-			if sp < 1 {
-				return trap(TrapStack, "not on empty stack")
-			}
-			if m.stack[sp-1].K != VBool {
-				return trap(TrapType, "not needs a bool")
-			}
-			m.stack[sp-1] = BoolVal(!m.stack[sp-1].Bool())
-
 		case OpJmp:
 			f.pc = operand
 			continue
@@ -421,7 +313,7 @@ func (m *Machine) runChecked(p *Program, entry *Func, globals []Value, args []Va
 				return trap(TrapStack, "conditional jump on empty stack")
 			}
 			if m.stack[sp-1].K != VBool {
-				return trap(TrapType, "conditional jump needs a bool")
+				return trap(TrapType, msgCondBool)
 			}
 			cond := m.stack[sp-1].Bool()
 			m.stack = m.stack[:sp-1]
@@ -450,148 +342,266 @@ func (m *Machine) runChecked(p *Program, entry *Func, globals []Value, args []Va
 			})
 			continue
 
-		case OpBLen:
-			if sp < 1 {
-				return trap(TrapStack, "blen on empty stack")
-			}
-			if m.stack[sp-1].K != VBytes {
-				return trap(TrapType, "blen needs bytes")
-			}
-			m.stack[sp-1] = IntVal(int64(len(m.stack[sp-1].B)))
-
-		case OpLdU8, OpLdI32, OpLdF32, OpLdF64:
-			if sp < 2 {
-				return trap(TrapStack, "byte load needs buffer and offset")
-			}
-			buf, off := m.stack[sp-2], m.stack[sp-1]
-			if buf.K != VBytes || off.K != VInt {
-				return trap(TrapType, "byte load needs (bytes, int)")
-			}
-			var width int64
-			switch op {
-			case OpLdU8:
-				width = 1
-			case OpLdI32, OpLdF32:
-				width = 4
-			case OpLdF64:
-				width = 8
-			}
-			if off.I < 0 || off.I+width > int64(len(buf.B)) {
-				return trap(TrapBounds, fmt.Sprintf("byte load at %d width %d out of bounds (%d)", off.I, width, len(buf.B)))
-			}
-			var v Value
-			switch op {
-			case OpLdU8:
-				v = IntVal(int64(buf.B[off.I]))
-			case OpLdI32:
-				v = IntVal(int64(int32(binary.BigEndian.Uint32(buf.B[off.I:]))))
-			case OpLdF32:
-				v = FloatVal(float64(math.Float32frombits(binary.BigEndian.Uint32(buf.B[off.I:]))))
-			case OpLdF64:
-				v = FloatVal(math.Float64frombits(binary.BigEndian.Uint64(buf.B[off.I:])))
-			}
-			m.stack = m.stack[:sp-1]
-			m.stack[sp-2] = v
-
-		case OpBNew:
-			if sp < 1 {
-				return trap(TrapStack, "bnew on empty stack")
-			}
-			if m.stack[sp-1].K != VInt {
-				return trap(TrapType, "bnew needs an int size")
-			}
-			size := m.stack[sp-1].I
-			if size < 0 {
-				return trap(TrapBounds, "bnew with negative size")
-			}
-			allocUsed += size
-			if allocUsed > m.limits.MaxAlloc {
-				return trap(TrapResource, "allocation budget exhausted")
-			}
-			v := BytesVal(make([]byte, size))
-			v.W = true
-			m.stack[sp-1] = v
-
-		case OpStU8, OpStI32, OpStF32:
-			if sp < 3 {
-				return trap(TrapStack, "byte store needs buffer, offset and value")
-			}
-			buf, off, val := m.stack[sp-3], m.stack[sp-2], m.stack[sp-1]
-			if buf.K != VBytes || off.K != VInt {
-				return trap(TrapType, "byte store needs (bytes, int, value)")
-			}
-			if !buf.W {
-				return trap(TrapBounds, "store into read-only buffer")
-			}
-			var width int64 = 4
-			if op == OpStU8 {
-				width = 1
-			}
-			if off.I < 0 || off.I+width > int64(len(buf.B)) {
-				return trap(TrapBounds, fmt.Sprintf("byte store at %d out of bounds (%d)", off.I, len(buf.B)))
-			}
-			switch op {
-			case OpStU8:
-				if val.K != VInt {
-					return trap(TrapType, "stu8 needs an int value")
-				}
-				buf.B[off.I] = byte(val.I)
-			case OpStI32:
-				if val.K != VInt {
-					return trap(TrapType, "sti32 needs an int value")
-				}
-				binary.BigEndian.PutUint32(buf.B[off.I:], uint32(int32(val.I)))
-			case OpStF32:
-				if val.K != VFloat {
-					return trap(TrapType, "stf32 needs a float value")
-				}
-				binary.BigEndian.PutUint32(buf.B[off.I:], math.Float32bits(float32(val.F)))
-			}
-			m.stack = m.stack[:sp-2]
-
-		case OpBSlice:
-			if sp < 3 {
-				return trap(TrapStack, "bslice needs buffer, start and end")
-			}
-			buf, start, end := m.stack[sp-3], m.stack[sp-2], m.stack[sp-1]
-			if buf.K != VBytes || start.K != VInt || end.K != VInt {
-				return trap(TrapType, "bslice needs (bytes, int, int)")
-			}
-			if start.I < 0 || end.I < start.I || end.I > int64(len(buf.B)) {
-				return trap(TrapBounds, fmt.Sprintf("bslice [%d:%d] out of bounds (%d)", start.I, end.I, len(buf.B)))
-			}
-			v := BytesVal(buf.B[start.I:end.I])
-			v.W = buf.W
-			m.stack = m.stack[:sp-2]
-			m.stack[sp-3] = v
-
-		case OpSLen:
-			if sp < 1 {
-				return trap(TrapStack, "slen on empty stack")
-			}
-			if m.stack[sp-1].K != VStr {
-				return trap(TrapType, "slen needs a string")
-			}
-			m.stack[sp-1] = IntVal(int64(len(m.stack[sp-1].S)))
-
-		case OpHost:
-			v, kind, err := callHost(operand, m.stack)
-			if err != nil {
-				return trap(kind, err.Error())
-			}
-			if operand == HostPow {
-				m.stack = m.stack[:len(m.stack)-1]
-			}
-			m.stack[len(m.stack)-1] = v
-
 		default:
-			return trap(TrapGeneric, fmt.Sprintf("unimplemented opcode %v", op))
+			n := arity(op, operand)
+			if sp < n {
+				return trap(TrapStack, fmt.Sprintf("%v needs %d values, stack has %d", op, n, sp))
+			}
+			var in [3]*Value
+			for j := range in[:n] {
+				in[j] = &m.stack[sp-n+j]
+			}
+			v, kind, msg := m.valueOp(op, operand, in[0], in[1], in[2])
+			if msg != "" {
+				return trap(kind, msg)
+			}
+			m.stack = m.stack[:sp-n+1]
+			m.stack[sp-n] = v
 		}
 		f.pc = npc
 	}
 }
 
-func compare(op Op, a, b Value) (bool, error) {
+// msgCondBool is the trap message of a conditional jump on a non-bool.
+const msgCondBool = "conditional jump needs a bool"
+
+// arity is the number of operands a value instruction (one valueOp
+// implements) pops; it is 0 for every other opcode.
+func arity(op Op, operand int) int {
+	switch op {
+	case OpNegI, OpNegF, OpI2F, OpF2I, OpNot, OpBLen, OpBNew, OpSLen:
+		return 1
+	case OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAddF, OpSubF, OpMulF, OpDivF,
+		OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpAnd, OpOr,
+		OpLdU8, OpLdI32, OpLdF32, OpLdF64:
+		return 2
+	case OpStU8, OpStI32, OpStF32, OpBSlice:
+		return 3
+	case OpHost:
+		if operand == HostPow {
+			return 2
+		}
+		return 1
+	}
+	return 0
+}
+
+// resultKind is the abstract kind of the value a value instruction
+// pushes; every value instruction pushes exactly one.
+func resultKind(op Op, operand int) absKind {
+	switch op {
+	case OpAddF, OpSubF, OpMulF, OpDivF, OpNegF, OpI2F, OpLdF32, OpLdF64:
+		return akFloat
+	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpAnd, OpOr, OpNot:
+		return akBool
+	case OpBNew, OpStU8, OpStI32, OpStF32, OpBSlice:
+		return akBytes
+	case OpHost:
+		_, _, ret := hostSig(operand)
+		return ret
+	}
+	return akInt
+}
+
+// valueOp applies a value instruction — arithmetic, comparison, logic,
+// byte-buffer or host intrinsic — to its operands a (deepest), b and c;
+// operands past the instruction's arity are nil. It returns the pushed
+// value, or a trap kind and a non-empty message. Both engines execute
+// value instructions through it (the compiled engine on any-kinded
+// operands and on every failure), so results, trap kinds and trap text
+// agree by construction. A stored-into buffer is returned as the result
+// of a byte store.
+func (m *Machine) valueOp(op Op, operand int, a, b, c *Value) (Value, TrapKind, string) {
+	switch op {
+	case OpAddI, OpSubI, OpMulI, OpDivI, OpModI:
+		if a.K != VInt || b.K != VInt {
+			return Value{}, TrapType, fmt.Sprintf("%v needs ints, got %v and %v", op, a.K, b.K)
+		}
+		switch op {
+		case OpAddI:
+			return IntVal(a.I + b.I), 0, ""
+		case OpSubI:
+			return IntVal(a.I - b.I), 0, ""
+		case OpMulI:
+			return IntVal(a.I * b.I), 0, ""
+		case OpDivI:
+			if b.I == 0 {
+				return Value{}, TrapMath, "integer divide by zero"
+			}
+			return IntVal(a.I / b.I), 0, ""
+		}
+		if b.I == 0 {
+			return Value{}, TrapMath, "integer modulo by zero"
+		}
+		return IntVal(a.I % b.I), 0, ""
+
+	case OpNegI:
+		if a.K != VInt {
+			return Value{}, TrapType, "negi needs an int"
+		}
+		return IntVal(-a.I), 0, ""
+
+	case OpAddF, OpSubF, OpMulF, OpDivF:
+		if a.K != VFloat || b.K != VFloat {
+			return Value{}, TrapType, fmt.Sprintf("%v needs floats, got %v and %v", op, a.K, b.K)
+		}
+		switch op {
+		case OpAddF:
+			return FloatVal(a.F + b.F), 0, ""
+		case OpSubF:
+			return FloatVal(a.F - b.F), 0, ""
+		case OpMulF:
+			return FloatVal(a.F * b.F), 0, ""
+		}
+		return FloatVal(a.F / b.F), 0, ""
+
+	case OpNegF:
+		if a.K != VFloat {
+			return Value{}, TrapType, "negf needs a float"
+		}
+		return FloatVal(-a.F), 0, ""
+
+	case OpI2F:
+		if a.K != VInt {
+			return Value{}, TrapType, "i2f needs an int"
+		}
+		return FloatVal(float64(a.I)), 0, ""
+
+	case OpF2I:
+		if a.K != VFloat {
+			return Value{}, TrapType, "f2i needs a float"
+		}
+		return IntVal(int64(a.F)), 0, ""
+
+	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+		res, err := compare(op, a, b)
+		if err != nil {
+			return Value{}, TrapType, err.Error()
+		}
+		return BoolVal(res), 0, ""
+
+	case OpAnd, OpOr:
+		if a.K != VBool || b.K != VBool {
+			return Value{}, TrapType, "logic op needs bools"
+		}
+		if op == OpAnd {
+			return BoolVal(a.Bool() && b.Bool()), 0, ""
+		}
+		return BoolVal(a.Bool() || b.Bool()), 0, ""
+
+	case OpNot:
+		if a.K != VBool {
+			return Value{}, TrapType, "not needs a bool"
+		}
+		return BoolVal(!a.Bool()), 0, ""
+
+	case OpBLen:
+		if a.K != VBytes {
+			return Value{}, TrapType, "blen needs bytes"
+		}
+		return IntVal(int64(len(a.B))), 0, ""
+
+	case OpLdU8, OpLdI32, OpLdF32, OpLdF64:
+		if a.K != VBytes || b.K != VInt {
+			return Value{}, TrapType, "byte load needs (bytes, int)"
+		}
+		width := loadWidth(op)
+		buf, off := a.B, b.I
+		if off < 0 || off > int64(len(buf))-width {
+			return Value{}, TrapBounds, fmt.Sprintf("byte load at %d width %d out of bounds (%d)", off, width, len(buf))
+		}
+		switch op {
+		case OpLdU8:
+			return IntVal(int64(buf[off])), 0, ""
+		case OpLdI32:
+			return IntVal(int64(int32(binary.BigEndian.Uint32(buf[off:])))), 0, ""
+		case OpLdF32:
+			return FloatVal(float64(math.Float32frombits(binary.BigEndian.Uint32(buf[off:])))), 0, ""
+		}
+		return FloatVal(math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))), 0, ""
+
+	case OpBNew:
+		if a.K != VInt {
+			return Value{}, TrapType, "bnew needs an int size"
+		}
+		size := a.I
+		if size < 0 {
+			return Value{}, TrapBounds, "bnew with negative size"
+		}
+		if size > m.limits.MaxAlloc-m.allocUsed {
+			return Value{}, TrapResource, "allocation budget exhausted"
+		}
+		m.allocUsed += size
+		return Value{K: VBytes, W: true, B: make([]byte, size)}, 0, ""
+
+	case OpStU8, OpStI32, OpStF32:
+		if a.K != VBytes || b.K != VInt {
+			return Value{}, TrapType, "byte store needs (bytes, int, value)"
+		}
+		if !a.W {
+			return Value{}, TrapBounds, "store into read-only buffer"
+		}
+		var width int64 = 4
+		if op == OpStU8 {
+			width = 1
+		}
+		buf, off := a.B, b.I
+		if off < 0 || off > int64(len(buf))-width {
+			return Value{}, TrapBounds, fmt.Sprintf("byte store at %d out of bounds (%d)", off, len(buf))
+		}
+		switch op {
+		case OpStU8:
+			if c.K != VInt {
+				return Value{}, TrapType, "stu8 needs an int value"
+			}
+			buf[off] = byte(c.I)
+		case OpStI32:
+			if c.K != VInt {
+				return Value{}, TrapType, "sti32 needs an int value"
+			}
+			binary.BigEndian.PutUint32(buf[off:], uint32(int32(c.I)))
+		case OpStF32:
+			if c.K != VFloat {
+				return Value{}, TrapType, "stf32 needs a float value"
+			}
+			binary.BigEndian.PutUint32(buf[off:], math.Float32bits(float32(c.F)))
+		}
+		return *a, 0, ""
+
+	case OpBSlice:
+		if a.K != VBytes || b.K != VInt || c.K != VInt {
+			return Value{}, TrapType, "bslice needs (bytes, int, int)"
+		}
+		start, end := b.I, c.I
+		if start < 0 || end < start || end > int64(len(a.B)) {
+			return Value{}, TrapBounds, fmt.Sprintf("bslice [%d:%d] out of bounds (%d)", start, end, len(a.B))
+		}
+		return Value{K: VBytes, W: a.W, B: a.B[start:end]}, 0, ""
+
+	case OpSLen:
+		if a.K != VStr {
+			return Value{}, TrapType, "slen needs a string"
+		}
+		return IntVal(int64(len(a.S))), 0, ""
+
+	case OpHost:
+		return callHost(operand, a, b)
+	}
+	return Value{}, TrapGeneric, fmt.Sprintf("unimplemented opcode %v", op)
+}
+
+// loadWidth is the byte width a load instruction reads.
+func loadWidth(op Op) int64 {
+	switch op {
+	case OpLdU8:
+		return 1
+	case OpLdF64:
+		return 8
+	}
+	return 4
+}
+
+func compare(op Op, a, b *Value) (bool, error) {
 	if a.K != b.K {
 		return false, fmt.Errorf("comparison of %v and %v", a.K, b.K)
 	}
@@ -610,14 +620,8 @@ func compare(op Op, a, b Value) (bool, error) {
 			c = -1
 		case a.F > b.F:
 			c = 1
-		case a.F != b.F: // NaN involved: only Eq/Ne are meaningful
-			if op == OpEq {
-				return false, nil
-			}
-			if op == OpNe {
-				return true, nil
-			}
-			return false, nil
+		case a.F != b.F: // NaN involved: only Ne holds
+			return op == OpNe, nil
 		}
 	case VStr:
 		switch {
@@ -650,73 +654,46 @@ func compare(op Op, a, b Value) (bool, error) {
 	return false, fmt.Errorf("bad comparison op %v", op)
 }
 
-func callHost(id int, stack []Value) (Value, TrapKind, error) {
-	sp := len(stack)
-	need := 1
-	if id == HostPow {
-		need = 2
+// callHost applies host intrinsic id to x (and y, for pow).
+func callHost(id int, x, y *Value) (Value, TrapKind, string) {
+	switch id {
+	case HostAbsI:
+		if x.K != VInt {
+			return Value{}, TrapType, "absi needs an int"
+		}
+		if x.I < 0 {
+			return IntVal(-x.I), 0, ""
+		}
+		return IntVal(x.I), 0, ""
+	case HostPow:
+		if x.K != VFloat || y.K != VFloat {
+			return Value{}, TrapType, "pow needs two floats"
+		}
+		return FloatVal(math.Pow(x.F, y.F)), 0, ""
 	}
-	if sp < need {
-		return Value{}, TrapStack, fmt.Errorf("host %s needs %d args", HostName(id), need)
+	if id < 0 || id >= NumHost {
+		return Value{}, TrapGeneric, fmt.Sprintf("unknown host intrinsic %d", id)
+	}
+	if x.K != VFloat {
+		return Value{}, TrapType, HostName(id) + " needs a float"
 	}
 	switch id {
 	case HostSqrt:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("sqrt needs a float")
-		}
 		if x.F < 0 {
-			return Value{}, TrapMath, fmt.Errorf("sqrt of negative %g", x.F)
+			return Value{}, TrapMath, fmt.Sprintf("sqrt of negative %g", x.F)
 		}
-		return FloatVal(math.Sqrt(x.F)), 0, nil
+		return FloatVal(math.Sqrt(x.F)), 0, ""
 	case HostAbsF:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("absf needs a float")
-		}
-		return FloatVal(math.Abs(x.F)), 0, nil
-	case HostAbsI:
-		x := stack[sp-1]
-		if x.K != VInt {
-			return Value{}, TrapType, fmt.Errorf("absi needs an int")
-		}
-		if x.I < 0 {
-			return IntVal(-x.I), 0, nil
-		}
-		return x, 0, nil
-	case HostPow:
-		x, y := stack[sp-2], stack[sp-1]
-		if x.K != VFloat || y.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("pow needs two floats")
-		}
-		return FloatVal(math.Pow(x.F, y.F)), 0, nil
+		return FloatVal(math.Abs(x.F)), 0, ""
 	case HostFloor:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("floor needs a float")
-		}
-		return FloatVal(math.Floor(x.F)), 0, nil
+		return FloatVal(math.Floor(x.F)), 0, ""
 	case HostCeil:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("ceil needs a float")
-		}
-		return FloatVal(math.Ceil(x.F)), 0, nil
+		return FloatVal(math.Ceil(x.F)), 0, ""
 	case HostLog:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("log needs a float")
-		}
 		if x.F <= 0 {
-			return Value{}, TrapMath, fmt.Errorf("log of non-positive %g", x.F)
+			return Value{}, TrapMath, fmt.Sprintf("log of non-positive %g", x.F)
 		}
-		return FloatVal(math.Log(x.F)), 0, nil
-	case HostExp:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("exp needs a float")
-		}
-		return FloatVal(math.Exp(x.F)), 0, nil
+		return FloatVal(math.Log(x.F)), 0, ""
 	}
-	return Value{}, TrapGeneric, fmt.Errorf("unknown host intrinsic %d", id)
+	return FloatVal(math.Exp(x.F)), 0, ""
 }

@@ -1,6 +1,9 @@
 package vm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Verification limits. Shipped code exceeding these is rejected before it
 // ever executes, the static half of the MVM sandbox.
@@ -14,13 +17,13 @@ const (
 )
 
 // Verify statically checks a decoded program and, on success, stamps it
-// with its VerifyInfo so the interpreter can use the unchecked fast
-// path. The ladder has two rungs: the structural pass (every instruction
-// is a defined opcode with in-range operands and every jump lands on an
-// instruction boundary) and the dataflow pass (stack-effect abstract
-// interpretation proving no underflow, no fall-through, no call-arity
-// violation, no recursion, no unreachable code and bounded stack use —
-// see Analyze in dataflow.go). A DAP runs Verify on every program it
+// with its VerifyInfo, which carries the program compiled to Go closures
+// (compile.go) that Machine.Run executes. The ladder has two rungs: the
+// structural pass (every instruction is a defined opcode with in-range
+// operands and every jump lands on an instruction boundary) and the
+// dataflow pass (stack-effect abstract interpretation proving no
+// underflow, no fall-through, no call-arity violation, no recursion, no
+// unreachable code and bounded stack use — see Analyze in dataflow.go). A DAP runs Verify on every program it
 // receives before loading it into its execution engine; the QPC runs it
 // again at catalog publish time so broken operators are never placeable.
 func Verify(p *Program) error {
@@ -46,6 +49,11 @@ func checkShape(p *Program) error {
 	if p.NGlobals < 0 || p.NGlobals > maxGlobals {
 		return fmt.Errorf("vm: program %q declares %d globals (max %d)", p.Name, p.NGlobals, maxGlobals)
 	}
+	for i, c := range p.Consts {
+		if !canonical(c) {
+			return fmt.Errorf("vm: program %q constant %d is not a canonical %v value", p.Name, i, c.K)
+		}
+	}
 	seen := make(map[string]bool, len(p.Funcs))
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
@@ -58,6 +66,26 @@ func checkShape(p *Program) error {
 		seen[f.Name] = true
 	}
 	return nil
+}
+
+// canonical reports whether a constant is exactly what Decode would
+// build for its kind: only the fields of its kind set, and a byte buffer
+// read-only, so shipped code can never write into its constant pool.
+// Compiled code keeps int, bool and float values unboxed, which is exact
+// only for canonical values.
+func canonical(v Value) bool {
+	noF := math.Float64bits(v.F) == 0
+	switch v.K {
+	case VInt, VBool:
+		return noF && v.S == "" && v.B == nil && !v.W
+	case VFloat:
+		return v.I == 0 && v.S == "" && v.B == nil && !v.W
+	case VStr:
+		return v.I == 0 && noF && v.B == nil && !v.W
+	case VBytes:
+		return v.I == 0 && noF && v.S == "" && !v.W
+	}
+	return false
 }
 
 // scanFunc is the structural pass over one function: it decodes the code

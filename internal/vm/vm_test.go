@@ -328,16 +328,16 @@ func TestCallDepthTrap(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Errorf("expected call depth trap, got %v", err)
 	}
-	if m.CheckedRuns != 1 || m.FastRuns != 0 {
-		t.Errorf("expected checked-path dispatch, got fast=%d checked=%d", m.FastRuns, m.CheckedRuns)
+	if m.CheckedRuns != 1 || m.CompiledRuns != 0 {
+		t.Errorf("expected checked-path dispatch, got compiled=%d checked=%d", m.CompiledRuns, m.CheckedRuns)
 	}
-	// With a roomy machine the same program takes the fast path.
+	// With a roomy machine the same program runs compiled.
 	m2 := New(Limits{})
 	if v, err := m2.Run(p, 0, nil, nil); err != nil || v.I != 1 {
 		t.Errorf("chain run: %v %v", v, err)
 	}
-	if m2.FastRuns != 1 {
-		t.Errorf("expected fast-path dispatch, got fast=%d", m2.FastRuns)
+	if m2.CompiledRuns != 1 {
+		t.Errorf("expected compiled dispatch, got compiled=%d", m2.CompiledRuns)
 	}
 }
 
