@@ -490,25 +490,24 @@ func TestExplainOutput(t *testing.T) {
 
 func TestVRFProperties(t *testing.T) {
 	cat := sequoiaCatalog(t)
-	tbl, _ := cat.Table("Rasters")
-	reg := cat.Ops()
-	schema := tbl.Schema
-	// AvgEnergy: 1MB -> 8 bytes: strongly reducing.
-	avg := &PExpr{Kind: ExprCall, Func: "AvgEnergy", Ret: types.KindDouble,
-		Args: []*PExpr{NewCol(3, types.KindRaster)}}
-	p := projectionPlacement(avg, schema, tbl.Stats, reg)
-	if p.VRF >= 0.001 {
-		t.Errorf("AvgEnergy VRF = %g", p.VRF)
-	}
-	// IncrRes: 4x inflation.
-	inc := &PExpr{Kind: ExprCall, Func: "IncrRes", Ret: types.KindRaster,
-		Args: []*PExpr{NewCol(3, types.KindRaster), NewConst(types.Int(2))}}
-	p = projectionPlacement(inc, schema, tbl.Stats, reg)
-	if p.VRF <= 1 {
-		t.Errorf("IncrRes VRF = %g, want > 1", p.VRF)
+	// The greedy per-operator policy pushes a projection iff its own
+	// VRF < 1. AvgEnergy (1MB -> 8 bytes) is strongly reducing: below
+	// the cut. IncrRes (4x inflation) stays above it.
+	for _, tc := range []struct {
+		sql, point string
+	}{
+		{"SELECT time, AvgEnergy(image) FROM Rasters", "below=[call AvgEnergy]"},
+		{"SELECT time, IncrRes(image, 2) FROM Rasters", "scan-only"},
+	} {
+		plan := planSearch(t, cat, CutSearchGreedy, tc.sql)
+		if got := plan.Fragments[0].CutPoint; got != tc.point {
+			t.Errorf("%s: cut %q, want %q:\n%s", tc.sql, got, tc.point, Explain(plan))
+		}
 	}
 	// Predicate VRF vs selectivity: 50% selectivity but tiny shipped
 	// rows over a large argument → VRF ≪ SF.
+	avg := &PExpr{Kind: ExprCall, Func: "AvgEnergy", Ret: types.KindDouble,
+		Args: []*PExpr{NewCol(3, types.KindRaster)}}
 	pp := predicatePlacement(avg, "Rasters", 28, 1<<20, cat)
 	if pp.VRF >= 0.01*pp.SF {
 		t.Errorf("predicate VRF %g not far below SF %g", pp.VRF, pp.SF)

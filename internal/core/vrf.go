@@ -153,15 +153,19 @@ func colAvgBytes(c types.Column, stats catalog.TableStats) int {
 	return 64 // variable-sized column with no stats
 }
 
-// callResultBytes estimates the result size of a call expression.
+// callResultBytes estimates the result size of a call expression,
+// never below 8 bytes: a shipped result always occupies wire space.
 func callResultBytes(e *PExpr, reg *ops.Registry, argBytes int) int {
+	n := argBytes
 	if d, ok := reg.Lookup(e.Func); ok {
-		return d.EstimateResultBytes(argBytes)
+		n = d.EstimateResultBytes(argBytes)
+	} else if w := e.Ret.FixedWireSize(); w > 0 {
+		n = w
 	}
-	if n := e.Ret.FixedWireSize(); n > 0 {
-		return n
+	if n <= 0 {
+		return 8
 	}
-	return argBytes
+	return n
 }
 
 // firstCall returns the first user-defined call within an expression, or
@@ -203,23 +207,6 @@ func predicateSelectivity(e *PExpr, table string, cat *catalog.Catalog) float64 
 		return 0.1
 	}
 	return catalog.DefaultSelectivity
-}
-
-// projectionPlacement analyzes a pushable call expression as a complex
-// projection over one table.
-func projectionPlacement(call *PExpr, schema types.Schema, stats catalog.TableStats, reg *ops.Registry) OpPlacement {
-	argBytes := exprArgBytes(call, schema, stats)
-	resBytes := callResultBytes(call, reg, argBytes)
-	p := OpPlacement{Func: call.Func, ArgBytes: argBytes, ResBytes: resBytes, SF: 1}
-	if d, ok := reg.Lookup(call.Func); ok {
-		p.CompCostPerByte = d.CPUCostPerByte
-	}
-	if argBytes > 0 {
-		p.VRF = float64(resBytes) / float64(argBytes)
-	} else {
-		p.VRF = 1
-	}
-	return p
 }
 
 // predicatePlacement analyzes a single-table predicate. outBytes is the

@@ -6,6 +6,7 @@ import (
 
 	"mocha/internal/catalog"
 	"mocha/internal/ops"
+	"mocha/internal/sqlparser"
 	"mocha/internal/types"
 	"mocha/internal/vm"
 )
@@ -40,23 +41,38 @@ func TestQuickPredicateVRFBounds(t *testing.T) {
 	}
 }
 
-// TestQuickProjectionVRFMonotone: a projection's VRF scales inversely
-// with its argument volume.
+// TestQuickProjectionVRFMonotone: a projection's VRF, as the cut
+// search models it, scales inversely with its argument volume.
 func TestQuickProjectionVRFMonotone(t *testing.T) {
 	reg := ops.Builtins()
-	call := &PExpr{Kind: ExprCall, Func: "AvgEnergy", Ret: types.KindDouble,
-		Args: []*PExpr{NewCol(0, types.KindRaster)}}
-	schema := types.NewSchema(types.Column{Name: "image", Kind: types.KindRaster})
+	cat := catalog.New(reg, catalog.NewRepositoryFromRegistry(reg))
+	cat.AddSite(&catalog.Site{Name: "site1", Addr: "dap1"})
+	if err := cat.AddTable(&catalog.TableDef{
+		Name: "T", URI: "mocha://tables/T", Site: "site1",
+		Schema: types.NewSchema(types.Column{Name: "image", Kind: types.KindRaster}),
+		Stats:  catalog.TableStats{RowCount: 100, Columns: []catalog.ColumnStats{{Name: "image"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := cat.Table("T")
+	sel, err := sqlparser.Parse("SELECT AvgEnergy(image) FROM T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vrf := func(size int) float64 {
+		tbl.Stats.Columns[0].AvgBytes = size
+		q, err := Bind(sel, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newPlanner(NewOptimizer(cat), q).buildDAG()
+		return d.nodes[d.calls[0][0]].vrf()
+	}
 	f := func(szRaw uint16) bool {
 		size := int(szRaw) + 16
-		stats := catalog.TableStats{RowCount: 100, Columns: []catalog.ColumnStats{
-			{Name: "image", AvgBytes: size},
-		}}
-		p := projectionPlacement(call, schema, stats, reg)
-		stats.Columns[0].AvgBytes = size * 2
-		p2 := projectionPlacement(call, schema, stats, reg)
+		v, v2 := vrf(size), vrf(size*2)
 		// Fixed 8-byte result: doubling the input halves the VRF.
-		return p2.VRF <= p.VRF+1e-12 && p.VRF > 0
+		return v2 <= v+1e-12 && v > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
