@@ -211,6 +211,28 @@ GROUP BY R1.band ORDER BY n DESC, b`},
 	}
 }
 
+// TestDegradedMiddleSiteChainJoin is the regression test for join
+// ordering around a degraded site: with site2's breaker open, Rasters2
+// (the middle of the R1–R2–R3 chain) ships raw rasters and sorts last
+// by volume, so the two smaller streams share no join predicate. The
+// planner must still find a connected order, and the answer must equal
+// the healthy cluster's.
+func TestDegradedMiddleSiteChainJoin(t *testing.T) {
+	cl, _ := testCluster(t, ClusterConfig{})
+	cl.SetStrategy(StrategyAuto)
+	want, err := cl.Execute(sequoia.Q6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Health().ForceOpen("site2")
+	defer cl.Health().Reset("site2")
+	got, err := cl.Execute(sequoia.Q6)
+	if err != nil {
+		t.Fatalf("Q6 with site2 degraded: %v", err)
+	}
+	sameRows(t, "Q6 degraded vs healthy", want.Rows, got.Rows)
+}
+
 // TestAggregateOverJoin groups and aggregates the combined stream of a
 // distributed join at the QPC.
 func TestAggregateOverJoin(t *testing.T) {
