@@ -178,15 +178,14 @@ func (r *Repository) SaveDir(dir string) error {
 	return os.WriteFile(filepath.Join(dir, manifestFile), data, 0o644)
 }
 
-// LoadDir restores a repository directory. A directory with a
-// manifest.xml is loaded as a full release history (every blob decoded,
+// LoadDir restores a repository directory written by SaveDir: the
+// manifest.xml release history plus its blobs. Every blob is decoded,
 // re-verified, and digest-checked against the manifest — tampering with
-// either file is an error); a bare directory of .mvmc files is the
-// legacy layout and each file is published as a fresh release.
+// either file is an error, and so is a directory without a manifest.
 func (r *Repository) LoadDir(dir string) error {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if os.IsNotExist(err) {
-		return r.loadLegacyDir(dir)
+		return fmt.Errorf("catalog: %s has no %s (write one with SaveDir)", dir, manifestFile)
 	}
 	if err != nil {
 		return err
@@ -258,32 +257,6 @@ func (r *Repository) LoadDir(dir string) error {
 		r.mu.Lock()
 		r.classes[strings.ToLower(mc.Name)] = h
 		r.mu.Unlock()
-	}
-	return nil
-}
-
-// loadLegacyDir publishes every bare .mvmc file in dir (the pre-release
-// on-disk layout, one blob per class, no manifest).
-func (r *Repository) loadLegacyDir(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".mvmc") {
-			continue
-		}
-		blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return err
-		}
-		p, err := vm.Decode(blob)
-		if err != nil {
-			return fmt.Errorf("catalog: class file %s: %w", e.Name(), err)
-		}
-		if _, err := r.PutProgram(p); err != nil {
-			return fmt.Errorf("catalog: class file %s: %w", e.Name(), err)
-		}
 	}
 	return nil
 }

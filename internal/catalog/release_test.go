@@ -261,28 +261,21 @@ func TestQuickPublishResolve(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyDir: a pre-release classes directory (bare .mvmc blobs,
-// no manifest) still loads — each blob is published as a release.
-func TestLoadLegacyDir(t *testing.T) {
-	p := prog(t, "Legacy", "1.0", 5)
+// TestLoadDirRequiresManifest: a classes directory without a manifest
+// (bare .mvmc blobs) is refused with an error naming the missing file.
+func TestLoadDirRequiresManifest(t *testing.T) {
+	p := prog(t, "Bare", "1.0", 5)
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "Legacy.mvmc"), p.Encode(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "Bare.mvmc"), p.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	repo := NewRepository()
-	if err := repo.LoadDir(dir); err != nil {
-		t.Fatal(err)
+	err := repo.LoadDir(dir)
+	if err == nil || !strings.Contains(err.Error(), "manifest.xml") {
+		t.Fatalf("LoadDir without a manifest = %v, want an error naming manifest.xml", err)
 	}
-	cls, ok := repo.Get("Legacy")
-	if !ok || cls.Checksum != p.Checksum() {
-		t.Fatalf("legacy class not published: %+v", cls)
-	}
-	// A corrupt legacy blob refuses the load.
-	if err := os.WriteFile(filepath.Join(dir, "Junk.mvmc"), []byte("not bytecode"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewRepository().LoadDir(dir); err == nil {
-		t.Error("corrupt legacy blob accepted")
+	if _, ok := repo.Get("Bare"); ok {
+		t.Error("bare blob published without a manifest")
 	}
 }
 
